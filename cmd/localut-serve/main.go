@@ -202,15 +202,16 @@ func main() {
 }
 
 // auditServe reconstructs the appliance's conservation ledger from the
-// public report — the utilizations are ratios of the underlying busy
-// seconds, so multiplying them back out recovers the raw quantities —
-// and fails on any violated invariant.
+// public report — the request counts are first-hand, and the
+// utilizations are ratios of the underlying busy seconds, so multiplying
+// them back out recovers the raw quantities — and fails on any violated
+// invariant.
 func auditServe(r *localut.ServeReport) error {
 	busy := r.RankUtilization * float64(r.Replicas) * r.MakespanSeconds
 	a := &audit.Appliance{
 		Requests:        r.Requests,
 		Completed:       r.Completed,
-		Shed:            r.Requests - r.Completed,
+		Shed:            r.Shed,
 		Replicas:        r.Replicas,
 		MakespanSeconds: r.MakespanSeconds,
 		BusySeconds:     busy,

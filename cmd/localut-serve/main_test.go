@@ -113,3 +113,30 @@ func TestReportTableSections(t *testing.T) {
 		}
 	}
 }
+
+// TestAuditServeChecksLedger feeds auditServe reports whose request
+// ledger does and does not close: a request that neither completed nor
+// was shed must fail the audit, and one the report sheds must not.
+func TestAuditServeChecksLedger(t *testing.T) {
+	sys := localut.NewSystem(localut.WithSeed(1))
+	cfg := goldenConfig()
+	cfg.DurationSeconds = 1
+	rep, err := sys.Serve(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := auditServe(rep); err != nil {
+		t.Fatalf("clean run failed the audit: %v", err)
+	}
+	leaked := *rep
+	leaked.Completed--
+	if err := auditServe(&leaked); err == nil {
+		t.Errorf("requests %d != completed %d + shed %d passed the audit",
+			leaked.Requests, leaked.Completed, leaked.Shed)
+	}
+	shed := leaked
+	shed.Shed++
+	if err := auditServe(&shed); err != nil {
+		t.Errorf("balanced ledger with one shed failed the audit: %v", err)
+	}
+}

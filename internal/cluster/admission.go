@@ -19,6 +19,7 @@ const (
 
 var admissionNames = [...]string{"admit-all", "token-bucket"}
 
+// String names the policy ("admit-all", "token-bucket").
 func (p AdmissionPolicy) String() string {
 	if p >= 0 && int(p) < len(admissionNames) {
 		return admissionNames[p]

@@ -1,8 +1,10 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 
+	"github.com/ais-snu/localut/internal/serve"
 	"github.com/ais-snu/localut/internal/trace"
 )
 
@@ -40,6 +42,15 @@ type AutoscalerConfig struct {
 func (a AutoscalerConfig) withDefaults(initial int) (AutoscalerConfig, error) {
 	if !a.Enabled {
 		return a, nil
+	}
+	if err := errors.Join(
+		serve.Finite("cluster: autoscaler interval", a.IntervalSeconds),
+		serve.Finite("cluster: autoscaler SLO", a.SLOSeconds),
+		serve.Finite("cluster: autoscaler ScaleDownFactor", a.ScaleDownFactor),
+		serve.Finite("cluster: autoscaler warmup", a.WarmupSeconds),
+		serve.Finite("cluster: autoscaler drain", a.DrainSeconds),
+	); err != nil {
+		return a, err
 	}
 	if a.MinInstances == 0 {
 		a.MinInstances = 1
@@ -90,7 +101,7 @@ func (cs *csim) scaleTick(now float64) {
 	cs.window = cs.window[:0]
 	active, warming, draining := cs.fleetCounts()
 	cs.timeline = append(cs.timeline, TimelineEvent{
-		T: now, Kind: KindScale, Action: "tick", Instance: -1, Replica: -1,
+		Seconds: now, Kind: KindScale, Action: "tick", Instance: -1, Replica: -1,
 		Active: active, P99: p99, Samples: n,
 	})
 	switch {

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"container/heap"
+	"errors"
 	"fmt"
 	"math/rand"
 
@@ -12,10 +13,11 @@ import (
 	"github.com/ais-snu/localut/internal/workload"
 )
 
-// ClassConfig is one SLO class: an independent open-loop request
+// ClassConfig is one SLO class: an independent open-loop Poisson request
 // population with its own arrival rate, length distributions, admission
 // budget and latency objectives. Zero length/decode fields inherit the
-// Base config's values.
+// Base config's values (the cluster-level defaults of the public
+// ClusterConfig; localut.ClusterClass is an alias of this type).
 type ClassConfig struct {
 	Name       string
 	RatePerSec float64
@@ -45,7 +47,8 @@ type ClassConfig struct {
 	// DeadlineSeconds is the class's completion deadline, measured from
 	// arrival; work that cannot finish in time is shed with accounting and
 	// the report separates goodput (deadline-met completions) from raw
-	// throughput (0 = inherit Config.DeadlineSeconds).
+	// throughput (0 = inherit Config.DeadlineSeconds, which the public
+	// API sets from ClusterConfig.Deadlines.DefaultSeconds).
 	DeadlineSeconds float64
 
 	// HedgeDelaySeconds overrides Config.Hedge.DelaySeconds for this class
@@ -59,6 +62,21 @@ func (c ClassConfig) validate(idx int) error {
 	name := c.Name
 	if name == "" {
 		name = fmt.Sprintf("class%d", idx)
+	}
+	pre := fmt.Sprintf("cluster: class %q", name)
+	if err := errors.Join(
+		serve.Finite(pre+" rate", c.RatePerSec),
+		serve.Finite(pre+" admission rate", c.AdmitRatePerSec),
+		serve.Finite(pre+" admission burst", c.AdmitBurst),
+		serve.Finite(pre+" mean tokens", c.MeanTokens),
+		serve.Finite(pre+" output-length mean", c.OutTokensMean),
+		serve.Finite(pre+" TTFT SLO", c.TTFTp99SLO),
+		serve.Finite(pre+" latency SLO", c.LatencyP99SLO),
+		serve.Finite(pre+" TPOT SLO", c.TPOTp99SLO),
+		serve.Finite(pre+" deadline", c.DeadlineSeconds),
+		serve.Finite(pre+" hedge delay", c.HedgeDelaySeconds),
+	); err != nil {
+		return err
 	}
 	switch {
 	case c.RatePerSec <= 0:
@@ -147,6 +165,13 @@ type Config struct {
 // withDefaults fills and validates the cluster-level fields; Base is
 // normalized separately via serve.Config.NormalizeInstance.
 func (c Config) withDefaults() (Config, error) {
+	if err := errors.Join(
+		serve.Finite("cluster: rate", c.RatePerSec),
+		serve.Finite("cluster: duration", c.DurationSeconds),
+		serve.Finite("cluster: deadline", c.DeadlineSeconds),
+	); err != nil {
+		return c, err
+	}
 	if c.Instances == 0 {
 		c.Instances = 2
 	}
@@ -875,7 +900,7 @@ func Run(cfg Config) (*Report, error) {
 // timeline and mirrors it into the trace as a fleet-track instant.
 func (cs *csim) scaleEvent(now float64, action string, inst, active int) {
 	cs.timeline = append(cs.timeline, TimelineEvent{
-		T: now, Kind: KindScale, Action: action, Instance: inst, Replica: -1, Active: active,
+		Seconds: now, Kind: KindScale, Action: action, Instance: inst, Replica: -1, Active: active,
 	})
 	cs.cfg.Recorder.Instant(0, 0, action, now,
 		obs.Num("instance", float64(inst)), obs.Num("active", float64(active)))

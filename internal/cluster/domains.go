@@ -1,10 +1,12 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 
 	"github.com/ais-snu/localut/internal/obs"
+	"github.com/ais-snu/localut/internal/serve"
 )
 
 // DomainConfig is the correlated-failure plan: instances are grouped into
@@ -36,6 +38,12 @@ type DomainConfig struct {
 func (d DomainConfig) withDefaults() (DomainConfig, error) {
 	if !d.Enabled {
 		return d, nil
+	}
+	if err := errors.Join(
+		serve.Finite("cluster: domain MTBFSeconds", d.MTBFSeconds),
+		serve.Finite("cluster: domain MTTRSeconds", d.MTTRSeconds),
+	); err != nil {
+		return d, err
 	}
 	if d.Count == 0 {
 		d.Count = 2
@@ -108,7 +116,7 @@ func (cs *csim) onDomainOutage(ev *event, now float64) {
 	repairAt := now + ds.rng.ExpFloat64()*cs.cfg.Domains.MTTRSeconds + cs.rematFull
 	active, _, _ := cs.fleetCounts()
 	cs.timeline = append(cs.timeline, TimelineEvent{
-		T: now, Kind: KindDomain, Action: "outage", Instance: -1, Replica: -1,
+		Seconds: now, Kind: KindDomain, Action: "outage", Instance: -1, Replica: -1,
 		Active: active, Domain: d,
 	})
 	cs.cfg.Recorder.Instant(0, 0, "domain-outage", now,
@@ -149,7 +157,7 @@ func (cs *csim) onDomainRepair(ev *event, now float64) {
 	}
 	active, _, _ := cs.fleetCounts()
 	cs.timeline = append(cs.timeline, TimelineEvent{
-		T: now, Kind: KindDomain, Action: "repair", Instance: -1, Replica: -1,
+		Seconds: now, Kind: KindDomain, Action: "repair", Instance: -1, Replica: -1,
 		Active: active, Domain: ev.domain,
 	})
 	cs.cfg.Recorder.Instant(0, 0, "domain-repair", now,

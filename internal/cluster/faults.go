@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 
 	"github.com/ais-snu/localut/internal/obs"
@@ -43,6 +44,14 @@ func (f FaultConfig) withDefaults() (FaultConfig, error) {
 	if !f.Enabled {
 		return f, nil
 	}
+	if err := errors.Join(
+		serve.Finite("cluster: MTTFSeconds", f.MTTFSeconds),
+		serve.Finite("cluster: MTTRSeconds", f.MTTRSeconds),
+		serve.Finite("cluster: DegradedFraction", f.DegradedFraction),
+		serve.Finite("cluster: LUTRematGBps", f.LUTRematGBps),
+	); err != nil {
+		return f, err
+	}
 	if f.MTTRSeconds == 0 {
 		f.MTTRSeconds = 5
 	}
@@ -78,6 +87,12 @@ type RetryConfig struct {
 
 // withDefaults fills and validates the retry policy.
 func (r RetryConfig) withDefaults() (RetryConfig, error) {
+	if err := errors.Join(
+		serve.Finite("cluster: retry backoff", r.BackoffSeconds),
+		serve.Finite("cluster: retry backoff cap", r.BackoffCapSeconds),
+	); err != nil {
+		return r, err
+	}
 	if r.MaxAttempts == 0 {
 		r.MaxAttempts = 3
 	}
@@ -120,7 +135,7 @@ func (r RetryConfig) backoff(attempt int) float64 {
 // into the trace as an instant on the instance's track.
 func (cs *csim) faultEvent(now float64, action string, inst, rep, active int, recover float64) {
 	cs.timeline = append(cs.timeline, TimelineEvent{
-		T: now, Kind: KindFault, Action: action, Instance: inst, Replica: rep,
+		Seconds: now, Kind: KindFault, Action: action, Instance: inst, Replica: rep,
 		Active: active, RecoverSeconds: recover,
 	})
 	tid := 0
@@ -196,7 +211,7 @@ func (cs *csim) onInstanceShed(inst int, r *serve.Request, now float64, reason s
 	}
 	active, _, _ := cs.fleetCounts()
 	cs.timeline = append(cs.timeline, TimelineEvent{
-		T: now, Kind: KindKV, Action: "kv-shed", Instance: inst, Replica: -1, Active: active,
+		Seconds: now, Kind: KindKV, Action: "kv-shed", Instance: inst, Replica: -1, Active: active,
 	})
 	cs.shedRequest(r, now, shedKVBudget)
 }

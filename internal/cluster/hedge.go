@@ -28,6 +28,9 @@ func (h HedgeConfig) withDefaults() (HedgeConfig, error) {
 	if !h.Enabled {
 		return h, nil
 	}
+	if err := serve.Finite("cluster: hedge DelaySeconds", h.DelaySeconds); err != nil {
+		return h, err
+	}
 	if h.DelaySeconds <= 0 {
 		return h, fmt.Errorf("cluster: hedging needs a positive DelaySeconds")
 	}
@@ -82,7 +85,7 @@ func (cs *csim) onHedgeTimer(ev *event, now float64) error {
 	cs.hedges++
 	active, _, _ := cs.fleetCounts()
 	cs.timeline = append(cs.timeline, TimelineEvent{
-		T: now, Kind: KindHedge, Action: "issue", Instance: best.inst.ID, Replica: -1,
+		Seconds: now, Kind: KindHedge, Action: "issue", Instance: best.inst.ID, Replica: -1,
 		Active: active,
 	})
 	if rec := cs.cfg.Recorder; rec.Sampled(r.ID) {
@@ -108,7 +111,7 @@ func (cs *csim) resolveHedge(w *serve.Request, now float64) {
 		cs.hedgeWins++
 		active, _, _ := cs.fleetCounts()
 		cs.timeline = append(cs.timeline, TimelineEvent{
-			T: now, Kind: KindHedge, Action: "win", Instance: w.Member, Replica: -1,
+			Seconds: now, Kind: KindHedge, Action: "win", Instance: w.Member, Replica: -1,
 			Active: active,
 		})
 	}

@@ -29,6 +29,8 @@ const (
 
 var routerNames = [...]string{"round-robin", "least-outstanding", "weighted-kv", "shape-affinity"}
 
+// String names the policy ("round-robin", "least-outstanding",
+// "weighted-kv", "shape-affinity").
 func (p RouterPolicy) String() string {
 	if p >= 0 && int(p) < len(routerNames) {
 		return routerNames[p]

@@ -1,9 +1,11 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 
 	"github.com/ais-snu/localut/internal/obs"
+	"github.com/ais-snu/localut/internal/serve"
 )
 
 // StragglerConfig is the gray-failure plan: each member draws exponential
@@ -31,6 +33,13 @@ type StragglerConfig struct {
 func (s StragglerConfig) withDefaults() (StragglerConfig, error) {
 	if !s.Enabled {
 		return s, nil
+	}
+	if err := errors.Join(
+		serve.Finite("cluster: straggler MTBFSeconds", s.MTBFSeconds),
+		serve.Finite("cluster: straggler MeanDurationSeconds", s.MeanDurationSeconds),
+		serve.Finite("cluster: straggler Slowdown", s.Slowdown),
+	); err != nil {
+		return s, err
 	}
 	if s.MeanDurationSeconds == 0 {
 		s.MeanDurationSeconds = 5
@@ -78,7 +87,7 @@ func (cs *csim) onStragglerStart(ev *event, now float64) {
 	cs.stragglerWindows++
 	active, _, _ := cs.fleetCounts()
 	cs.timeline = append(cs.timeline, TimelineEvent{
-		T: now, Kind: KindStraggler, Action: "start", Instance: ev.inst, Replica: -1,
+		Seconds: now, Kind: KindStraggler, Action: "start", Instance: ev.inst, Replica: -1,
 		Active: active,
 	})
 	cs.cfg.Recorder.Instant(ev.inst+1, 0, "straggler", now,
@@ -99,7 +108,7 @@ func (cs *csim) onStragglerEnd(ev *event, now float64) {
 	m.straggling = false
 	active, _, _ := cs.fleetCounts()
 	cs.timeline = append(cs.timeline, TimelineEvent{
-		T: now, Kind: KindStraggler, Action: "end", Instance: ev.inst, Replica: -1,
+		Seconds: now, Kind: KindStraggler, Action: "end", Instance: ev.inst, Replica: -1,
 		Active: active,
 	})
 	cs.cfg.Recorder.Instant(ev.inst+1, 0, "straggler-end", now)

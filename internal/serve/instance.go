@@ -91,6 +91,7 @@ const (
 
 var kvPolicyNames = [...]string{"gauge", "stall", "shed"}
 
+// String names the policy ("gauge", "stall", "shed").
 func (p KVPolicy) String() string {
 	if p >= 0 && int(p) < len(kvPolicyNames) {
 		return kvPolicyNames[p]

@@ -110,6 +110,7 @@ const (
 
 var policyNames = [...]string{"fcfs", "packed"}
 
+// String names the policy ("fcfs", "packed").
 func (p Policy) String() string {
 	if p >= 0 && int(p) < len(policyNames) {
 		return policyNames[p]

@@ -401,20 +401,26 @@ const (
 	ViTBase
 )
 
-func (m Model) config() dnn.ModelConfig {
+func (m Model) config() (dnn.ModelConfig, error) {
 	switch m {
 	case BERTBase:
-		return dnn.BERTBase()
+		return dnn.BERTBase(), nil
 	case OPT125M:
-		return dnn.OPT125M()
+		return dnn.OPT125M(), nil
 	case ViTBase:
-		return dnn.ViTBase()
+		return dnn.ViTBase(), nil
 	}
-	panic(fmt.Sprintf("localut: unknown model %d", int(m)))
+	return dnn.ModelConfig{}, fmt.Errorf("localut: unknown model %d", int(m))
 }
 
-// String names the model.
-func (m Model) String() string { return m.config().Name }
+// String names the model ("Model(N)" for an unknown value).
+func (m Model) String() string {
+	c, err := m.config()
+	if err != nil {
+		return fmt.Sprintf("Model(%d)", int(m))
+	}
+	return c.Name
+}
 
 // PhaseTimes itemizes one inference phase (the Fig. 16(a) categories).
 type PhaseTimes struct {
@@ -450,10 +456,14 @@ type InferOptions struct {
 // projection/FFN GEMMs on PIM under the design, attention/normalization on
 // the host (Fig. 8).
 func (s *System) Infer(m Model, f Format, d Design, opt InferOptions) (*InferenceResult, error) {
+	mc, err := m.config()
+	if err != nil {
+		return nil, err
+	}
 	if opt.Batch == 0 {
 		opt.Batch = 8
 	}
-	r := dnn.NewRunner(m.config(), f.inner, d.variant())
+	r := dnn.NewRunner(mc, f.inner, d.variant())
 	r.Engine = s.engine
 	r.Seed = s.seed
 	rep, err := r.Infer(opt.Batch, opt.OutTokens)
