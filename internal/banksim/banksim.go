@@ -63,8 +63,8 @@ func NewBank(t Timing) *Bank { return &Bank{T: t, openRow: -1} }
 func (b *Bank) reset(t Timing) { *b = Bank{T: t, openRow: -1} }
 
 // access applies the timing for one column command on the byte address. It
-// is the per-burst reference semantics; the streaming entry points batch it
-// row by row (see stream) and tests pin the equivalence.
+// is the per-burst reference semantics; stream applies whole burst trains
+// in closed form and tests pin the equivalence.
 func (b *Bank) access(addr int64) {
 	row := addr / b.T.RowBytes
 	switch {
@@ -82,41 +82,47 @@ func (b *Bank) access(addr int64) {
 	}
 }
 
-// stream applies the timing of a sequential burst train over [addr, addr+n)
-// in O(rows touched) instead of O(bursts): within one DRAM row only the
-// first burst can miss, every subsequent burst is a TCCD row hit, so each
-// row contributes one access() outcome plus a closed-form hit count. The
+// stream applies the timing of count back-to-back sequential transfers of
+// n bytes, the i-th starting at addr+i*n, in O(1). Each transfer issues
+// ceil(n/BurstBytes) bursts BurstBytes apart, and the next transfer starts
+// at most BurstBytes after the previous one's last burst, so the whole
+// train is a strictly increasing address sequence with steps of at most
+// BurstBytes <= RowBytes: it never revisits or skips a row. Only the first
+// burst's outcome depends on the open row; after it every row boundary is
+// one precharge+activate and every other burst is a TCCD row hit. The
 // counters and cycle total are bit-identical to burst-by-burst access.
 // Returns the number of bursts issued.
-func (b *Bank) stream(addr, n int64) int64 {
-	if n <= 0 {
+func (b *Bank) stream(addr, n, count int64) int64 {
+	if n <= 0 || count <= 0 {
 		return 0
 	}
-	total := (n + b.T.BurstBytes - 1) / b.T.BurstBytes
-	done := int64(0)
-	for done < total {
-		cur := addr + done*b.T.BurstBytes
-		rowEnd := (cur/b.T.RowBytes + 1) * b.T.RowBytes
-		inRow := (rowEnd - cur + b.T.BurstBytes - 1) / b.T.BurstBytes
-		if inRow > total-done {
-			inRow = total - done
-		}
-		b.access(cur)
-		b.Cycles += (inRow - 1) * b.T.TCCD
-		b.RowHits += inRow - 1
-		done += inRow
-	}
+	perCall := (n + b.T.BurstBytes - 1) / b.T.BurstBytes
+	total := perCall * count
+	lastRow := (addr + (count-1)*n + (perCall-1)*b.T.BurstBytes) / b.T.RowBytes
+	misses := lastRow - addr/b.T.RowBytes
+	hits := total - 1 - misses
+	b.access(addr)
+	b.Cycles += misses*(b.T.TRP+b.T.TRCD+b.T.TCL) + hits*b.T.TCCD
+	b.Activates += misses
+	b.RowHits += hits
+	b.openRow = lastRow
 	return total
 }
 
 // Read streams n bytes starting at addr through column commands.
 func (b *Bank) Read(addr, n int64) {
-	b.Reads += b.stream(addr, n)
+	b.Reads += b.stream(addr, n, 1)
+}
+
+// readRun applies count back-to-back Read(addr+i*n, n) calls in O(1): the
+// weight streams of the unit simulators, one transfer per output row.
+func (b *Bank) readRun(addr, n, count int64) {
+	b.Reads += b.stream(addr, n, count)
 }
 
 // Write streams n bytes to addr.
 func (b *Bank) Write(addr, n int64) {
-	b.Writes += b.stream(addr, n)
+	b.Writes += b.stream(addr, n, 1)
 }
 
 // Seconds converts accumulated cycles to seconds.
@@ -187,17 +193,21 @@ func (s *SIMDPIM) RunGEMMOn(b *Bank, g GEMMSpec) (*Result, error) {
 	aBase := int64(g.M) * int64(g.K) * elemBytes
 	oBase := aBase + int64(g.K)*int64(g.N)*elemBytes
 
+	rowBytes := int64(g.K) * elemBytes
 	for n := 0; n < g.N; n++ {
 		// Load the activation column into the unit register file.
-		b.Read(aBase+int64(n)*int64(g.K)*elemBytes, int64(g.K)*elemBytes)
+		b.Read(aBase+int64(n)*rowBytes, rowBytes)
+		// Stream the weight rows; each burst feeds Lanes MACs and the MAC
+		// latency is pipelined behind the command stream.
+		if n%int(s.T.BurstBytes/elemBytes) != 0 {
+			b.readRun(wBase, rowBytes, int64(g.M))
+			continue
+		}
+		// Output writeback, one element amortized per burst width,
+		// interleaved with the weight rows.
 		for m := 0; m < g.M; m++ {
-			// Stream the weight row; each burst feeds Lanes MACs and the
-			// MAC latency is pipelined behind the command stream.
-			b.Read(wBase+int64(m)*int64(g.K)*elemBytes, int64(g.K)*elemBytes)
-			// Output writeback, one element amortized per burst width.
-			if n%int(s.T.BurstBytes/elemBytes) == 0 {
-				b.Write(oBase+int64(m)*elemBytes, elemBytes)
-			}
+			b.Read(wBase+int64(m)*rowBytes, rowBytes)
+			b.Write(oBase+int64(m)*elemBytes, elemBytes)
 		}
 	}
 	return result(b, int64(g.M)*int64(g.K)*int64(g.N)), nil
@@ -303,16 +313,14 @@ func (u *LUTPIM) RunGEMMOn(b *Bank, g GEMMSpec) (*Result, error) {
 			// Per-batch activation metadata (column/permutation ids).
 			b.Read(oBase+int64(g.M)*2+int64(n*groups+g0)*4, int64(batch)*4)
 			// Weight streaming: one burst carries packed vectors for the
-			// whole unit array; rows of W for this group batch are
-			// contiguous per group.
-			for m := 0; m < g.M; m++ {
-				b.Read(wBase+int64((g0/u.Units)*g.M+m)*int64(batch*u.WeightRowBytes),
-					int64(batch*u.WeightRowBytes))
-				macs += int64(batch) * int64(u.P)
-				// Unit lookup throughput may exceed the command stream;
-				// track compute separately and take the max at the end.
-				computeCycles += int64(float64(1) / u.LookupsPerCycle)
-			}
+			// whole unit array; the M rows of W for this group batch are
+			// contiguous, one transfer per output row.
+			rowBytes := int64(batch * u.WeightRowBytes)
+			b.readRun(wBase+int64((g0/u.Units)*g.M)*rowBytes, rowBytes, int64(g.M))
+			macs += int64(g.M) * int64(batch) * int64(u.P)
+			// Unit lookup throughput may exceed the command stream; track
+			// compute separately and take the max at the end.
+			computeCycles += int64(g.M) * int64(float64(1)/u.LookupsPerCycle)
 			// Output update per row handled in unit accumulators; write
 			// back once per column batch end.
 		}

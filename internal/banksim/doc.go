@@ -15,6 +15,17 @@
 //     of streaming LUT slices into the unit SRAMs whenever the activation
 //     group batch advances.
 //
+// # Closed-form burst trains
+//
+// A sequential transfer is a burst train whose row-buffer outcome has a
+// closed form: bursts never skip or revisit a row, so only the first
+// burst depends on the open row, each later row boundary is one
+// precharge+activate and every other burst is a TCCD row hit. Bank
+// applies every Read and Write that way in O(1), and the unit simulators
+// apply a whole weight stream (M back-to-back row transfers) as one such
+// train, so a bank share costs O(N·groups) instead of O(N·groups·M).
+// Tests pin both against per-burst and per-call reference loops.
+//
 // # Multi-bank sharded execution
 //
 // A bank-level PIM system is thousands of independent banks, so the package

@@ -47,9 +47,10 @@ type Suite struct {
 	// Mode selects the engine's execution backend for every GEMM the
 	// figures run. CyclesOnly regenerates identical numbers (the figures
 	// consume only cycle/energy models, like the paper's) without the
-	// byte-level functional simulation or its per-run verification. Like
-	// Parallelism, it is a plain field: RunFigure and All apply it to the
-	// engine when they run.
+	// byte-level functional simulation or its per-run verification, and
+	// on shape-only operands: no synthetic tensor is generated or
+	// quantized. Like Parallelism, it is a plain field: RunFigure and All
+	// apply it to the engine when they run.
 	Mode kernels.Mode
 }
 
@@ -122,9 +123,10 @@ func (s *Suite) scale(v, quick int) int {
 	return v
 }
 
-// runGEMM executes one GEMM under the paper's context-parallel tiling.
+// runGEMM executes one GEMM under the paper's context-parallel tiling, on
+// shape-only operands when the engine runs cycles-only.
 func (s *Suite) runGEMM(m, k, n int, f quant.Format, v kernels.Variant, opt gemm.Options) (*gemm.Report, error) {
-	pair := workload.NewGEMMPair(m, k, n, f, s.Seed)
+	pair := s.Engine.NewPair(m, k, n, f, s.Seed)
 	opt.Variant = v
 	opt.NSplitOnly = true
 	return s.Engine.Run(pair, opt)

@@ -260,11 +260,12 @@ func (s *Suite) Fig20() (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
+		// The fp16 SIMD baseline does not depend on the format.
+		simd, err := banksim.RunShards(banksim.NewSIMDPIM(tm), specs, s.Parallelism)
+		if err != nil {
+			return nil, err
+		}
 		for _, f := range quant.Formats {
-			simd, err := banksim.RunShards(banksim.NewSIMDPIM(tm), specs, s.Parallelism)
-			if err != nil {
-				return nil, err
-			}
 			p, spec := unitMaxP(f)
 			u, err := banksim.NewLUTPIM(tm, p, spec.WeightRowBytes(), spec.EntryBytes())
 			if err != nil {
@@ -336,17 +337,22 @@ func (s *Suite) Fig21() (*Result, error) {
 		sizes = []int{1024}
 	}
 	const chans = 4
+	// Shares and the fp16 SIMD baseline depend only on the size: simulate
+	// each once for every case.
+	specs := make([][]banksim.GEMMSpec, len(sizes))
+	simd := make([]*banksim.Grid, len(sizes))
+	for i, sz := range sizes {
+		var err error
+		if specs[i], err = banksim.SplitGEMM(sz, sz, sz, chans, banks); err != nil {
+			return nil, err
+		}
+		if simd[i], err = banksim.RunShards(banksim.NewSIMDPIM(tm), specs[i], s.Parallelism); err != nil {
+			return nil, err
+		}
+	}
 	for _, c := range cases {
 		var sub []float64
-		for _, sz := range sizes {
-			specs, err := banksim.SplitGEMM(sz, sz, sz, chans, banks)
-			if err != nil {
-				return nil, err
-			}
-			simd, err := banksim.RunShards(banksim.NewSIMDPIM(tm), specs, s.Parallelism)
-			if err != nil {
-				return nil, err
-			}
+		for i, sz := range sizes {
 			// Largest p with a 2^(bw*p) x 2 B canonical column within the
 			// 512 B unit SRAM AND a full canonical table that still fits
 			// the bank's LUT budget (this is what pins FP16 to p=1: at
@@ -377,11 +383,11 @@ func (s *Suite) Fig21() (*Result, error) {
 			if err := u.ConfigureSlices(rows*fpEntryBytes, rows*int64(rb)); err != nil {
 				return nil, err
 			}
-			lutRes, err := banksim.RunShards(u, specs, s.Parallelism)
+			lutRes, err := banksim.RunShards(u, specs[i], s.Parallelism)
 			if err != nil {
 				return nil, err
 			}
-			sp := simd.Seconds / lutRes.Seconds
+			sp := simd[i].Seconds / lutRes.Seconds
 			tab.Add("fp-gemm "+c.name, fmt.Sprintf("%dK p=%d", sz/1024, p), sp)
 			sub = append(sub, sp)
 		}

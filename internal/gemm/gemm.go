@@ -311,6 +311,18 @@ func (e *Engine) plan(f quant.Format, tileM, k, tileN int, opt Options) (kernels
 	return nil, 0, 0, false, fmt.Errorf("gemm: unknown variant %v", opt.Variant)
 }
 
+// NewPair builds the operands a Run needs under the engine's execution
+// mode: a shape-only pair in CyclesOnly, whose cost programs read no data,
+// and the seeded synthetic pair otherwise. Both modes charge identical
+// cycles, so the choice never changes a result — it skips generating and
+// quantizing operands that cycles-only execution would never read.
+func (e *Engine) NewPair(m, k, n int, f quant.Format, seed int64) *workload.GEMMPair {
+	if e.Exec.Mode == kernels.CyclesOnly {
+		return workload.NewShapePair(m, k, n, f)
+	}
+	return workload.NewGEMMPair(m, k, n, f, seed)
+}
+
 // Run executes one GEMM on the simulated system.
 func (e *Engine) Run(pair *workload.GEMMPair, opt Options) (*Report, error) {
 	if err := e.Cfg.Validate(); err != nil {

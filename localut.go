@@ -267,10 +267,20 @@ func WithFullOutput() GEMMOption { return func(o *gemm.Options) { o.ComputeFull 
 func WithPaperTiling() GEMMOption { return func(o *gemm.Options) { o.NSplitOnly = true } }
 
 // GEMM generates a seeded synthetic M x K x N problem in the format and
-// executes it under the design.
+// executes it under the design. A WithCyclesOnly system runs it on the
+// shape alone unless WithFullOutput asks for the product.
 func (s *System) GEMM(f Format, m, k, n int, d Design, opts ...GEMMOption) (*GEMMResult, error) {
-	pair := workload.NewGEMMPair(m, k, n, f.inner, s.seed)
-	return s.run(pair, d, opts...)
+	o := gemmOptions(d, opts)
+	return s.run(s.newPair(m, k, n, f, s.seed, o), d, o)
+}
+
+// newPair builds a GEMM's operands: shape only when the engine's mode and
+// the options never read them, seeded synthetic data otherwise.
+func (s *System) newPair(m, k, n int, f Format, seed int64, o gemm.Options) *workload.GEMMPair {
+	if o.ComputeFull {
+		return workload.NewGEMMPair(m, k, n, f.inner, seed)
+	}
+	return s.engine.NewPair(m, k, n, f.inner, seed)
 }
 
 // GEMMQuantized executes a GEMM on caller-provided quantized tensors.
@@ -283,11 +293,11 @@ func (s *System) GEMMQuantized(w, a *Tensor, d Design, opts ...GEMMOption) (*GEM
 	f := quant.Format{Weight: w.t.Codec, Act: a.t.Codec}
 	pair := &workload.GEMMPair{M: w.t.Rows, K: w.t.Cols, N: a.t.Cols,
 		Fmt: f, W: w.t, A: a.t}
-	return s.run(pair, d, opts...)
+	return s.run(pair, d, gemmOptions(d, opts))
 }
 
-func (s *System) run(pair *workload.GEMMPair, d Design, opts ...GEMMOption) (*GEMMResult, error) {
-	rep, err := s.engine.Run(pair, gemmOptions(d, opts))
+func (s *System) run(pair *workload.GEMMPair, d Design, o gemm.Options) (*GEMMResult, error) {
+	rep, err := s.engine.Run(pair, o)
 	if err != nil {
 		return nil, err
 	}
@@ -334,11 +344,12 @@ func (s *System) GEMMBatch(f Format, shapes []GEMMShape, d Design, opts ...GEMMO
 	if len(shapes) == 0 {
 		return nil, fmt.Errorf("localut: empty GEMM batch")
 	}
+	o := gemmOptions(d, opts)
 	pairs := make([]*workload.GEMMPair, len(shapes))
 	for i, sh := range shapes {
-		pairs[i] = workload.NewGEMMPair(sh.M, sh.K, sh.N, f.inner, s.seed+int64(i))
+		pairs[i] = s.newPair(sh.M, sh.K, sh.N, f, s.seed+int64(i), o)
 	}
-	reps, err := s.engine.RunBatch(pairs, gemmOptions(d, opts))
+	reps, err := s.engine.RunBatch(pairs, o)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,9 @@
 package localut
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 // TestWithCyclesOnlyMatchesFunctional pins the public-API guarantee: a
 // system in cycles-only mode reports the same timing, cycle counts and
@@ -71,5 +74,44 @@ func TestCyclesOnlyInference(t *testing.T) {
 	}
 	if fr.Prefill != cr.Prefill {
 		t.Errorf("prefill phases diverge: %+v vs %+v", fr.Prefill, cr.Prefill)
+	}
+}
+
+// TestCyclesOnlyBatchAndFullOutput extends the cost-equality guarantee to
+// GEMMBatch, and checks that WithFullOutput on a cycles-only system still
+// computes the same product as the functional run.
+func TestCyclesOnlyBatchAndFullOutput(t *testing.T) {
+	fs := NewSystem(WithSeed(5))
+	cs := NewSystem(WithSeed(5), WithCyclesOnly())
+	shapes := []GEMMShape{{M: 64, K: 96, N: 16}, {M: 33, K: 70, N: 9}}
+	fb, err := fs.GEMMBatch(W2A2, shapes, DesignLoCaLUT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cb, err := cs.GEMMBatch(W2A2, shapes, DesignLoCaLUT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range shapes {
+		f, c := *fb[i], *cb[i]
+		f.Verified = false
+		if !reflect.DeepEqual(f, c) {
+			t.Errorf("batch member %d diverges across modes:\n functional  %+v\n cycles-only %+v", i, f, c)
+		}
+	}
+
+	fr, err := fs.GEMM(W1A3, 40, 64, 12, DesignOP, WithFullOutput())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cr, err := cs.GEMM(W1A3, 40, 64, 12, DesignOP, WithFullOutput())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cr.Output == nil || !reflect.DeepEqual(fr.Output, cr.Output) {
+		t.Errorf("cycles-only full output differs from the functional product")
+	}
+	if fr.KernelCycles != cr.KernelCycles || fr.TotalSeconds != cr.TotalSeconds {
+		t.Errorf("full-output run diverges across modes: %+v vs %+v", fr, cr)
 	}
 }
