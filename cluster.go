@@ -207,7 +207,10 @@ func (s *System) ServeCluster(cfg ClusterConfig) (*ClusterReport, error) {
 	if seed == 0 {
 		seed = s.seed
 	}
-	rec, met := cfg.Obs.build()
+	rec, met, err := cfg.Obs.build()
+	if err != nil {
+		return nil, err
+	}
 	ccfg := cluster.Config{
 		Base: serve.Config{
 			Model:   mc,

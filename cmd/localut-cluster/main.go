@@ -13,7 +13,6 @@
 //	localut-cluster -autoscale -slo 0.5 -instances 1 -max-instances 8 -rate 400
 //	localut-cluster -designs "OP+LC+RC,LoCaLUT" -router shape-affinity
 //	localut-cluster -sweep 500,1000,2000 -fleets 2,4,8
-//	localut-cluster -bench-json BENCH_cluster.json
 //
 // Output is a summary table plus per-instance and per-class sections;
 // -json and -csv switch formats, -o writes to a file.
@@ -102,11 +101,6 @@ func main() {
 	traceSample := flag.Int("trace-sample", 1, "keep every N-th request's lifecycle span in the trace")
 	metricsOut := flag.String("metrics-out", "", "write interval time-series metrics to this file (.json = JSON, else CSV)")
 	metricsInterval := flag.Duration("metrics-interval", time.Second, "time-series sampling interval")
-	benchJSON := flag.String("bench-json", "", "run the cluster self-benchmark and write JSON to this path")
-	benchFaultsJSON := flag.String("bench-faults-json", "", "run the faulted-fleet self-benchmark and write JSON to this path")
-	benchObsJSON := flag.String("bench-obs-json", "", "run the observability-overhead self-benchmark and write JSON to this path")
-	benchChaosJSON := flag.String("bench-chaos-json", "", "run the chaos-fleet self-benchmark (domains + stragglers + hedging, audited) and write JSON to this path")
-	maxObsOverheadUS := flag.Float64("max-obs-overhead-us", 0, "fail -bench-obs-json when full recording costs more than this per admitted request, in microseconds (0 = no gate)")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a post-GC pprof heap profile to this file at exit")
 	flag.Parse()
@@ -126,31 +120,6 @@ func main() {
 		}
 		defer f.Close()
 		w = f
-	}
-
-	if *benchJSON != "" {
-		if err := runBenchJSON(*benchJSON); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if *benchFaultsJSON != "" {
-		if err := runBenchFaultsJSON(*benchFaultsJSON); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if *benchObsJSON != "" {
-		if err := runBenchObsJSON(*benchObsJSON, *maxObsOverheadUS); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if *benchChaosJSON != "" {
-		if err := runBenchChaosJSON(*benchChaosJSON); err != nil {
-			fatal(err)
-		}
-		return
 	}
 
 	if *chaosN > 0 {
@@ -958,312 +927,6 @@ func runHedgeSweep(w io.Writer, delays, model, fmtName, design string,
 	}
 	fmt.Fprintf(os.Stderr, "%d hedging points in %.2fs host wall-clock\n",
 		len(points), time.Since(start).Seconds())
-	return nil
-}
-
-// benchScenario is one timed cluster self-benchmark workload.
-type benchScenario struct {
-	Model            string  `json:"model"`
-	Instances        int     `json:"instances"`
-	RatePerSec       float64 `json:"rate_per_sec"`
-	DurationSeconds  float64 `json:"duration_s"`
-	Requests         int     `json:"requests"`
-	PeakInstances    int     `json:"peak_instances"`
-	DistinctSims     int     `json:"distinct_forward_sims"`
-	WallSeconds      float64 `json:"wall_seconds"`
-	RequestsPerSec   float64 `json:"requests_per_sec"`
-	SimSecondsPerSec float64 `json:"simulated_seconds_per_wall_second"`
-}
-
-// benchReport pairs the million-request static-fleet acceptance workload
-// with an autoscaled one, so scaling-path performance is tracked too.
-type benchReport struct {
-	Fleet      benchScenario `json:"fleet"`
-	Autoscaled benchScenario `json:"autoscaled"`
-}
-
-// benchRun times one scenario.
-func benchRun(cfg localut.ClusterConfig) (benchScenario, error) {
-	sys := localut.NewSystem(localut.WithSeed(1))
-	start := time.Now()
-	rep, err := sys.ServeCluster(cfg)
-	if err != nil {
-		return benchScenario{}, err
-	}
-	wall := time.Since(start).Seconds()
-	out := benchScenario{
-		Model:           rep.Model,
-		Instances:       cfg.Instances,
-		RatePerSec:      cfg.RatePerSec,
-		DurationSeconds: cfg.DurationSeconds,
-		Requests:        rep.Admitted,
-		PeakInstances:   rep.InstancesPeak,
-		DistinctSims:    rep.DistinctForwardSims,
-		WallSeconds:     wall,
-	}
-	if wall > 0 {
-		out.RequestsPerSec = float64(rep.Admitted) / wall
-		out.SimSecondsPerSec = rep.MakespanSeconds / wall
-	}
-	return out, nil
-}
-
-// runBenchJSON times the acceptance workloads: one million requests over
-// an eight-instance fleet, and an autoscaled decode fleet exercising the
-// scale-up/drain paths.
-func runBenchJSON(path string) error {
-	fleet, err := benchRun(localut.ClusterConfig{
-		Model: localut.BERTBase, Format: localut.W1A3, Design: localut.DesignLoCaLUT,
-		Instances:       8,
-		RatePerSec:      17000,
-		DurationSeconds: 60,
-		Router:          localut.RouteLeastOutstanding,
-	})
-	if err != nil {
-		return err
-	}
-	scaled, err := benchRun(localut.ClusterConfig{
-		Model: localut.OPT125M, Format: localut.W1A3, Design: localut.DesignLoCaLUT,
-		Instances:       1,
-		RatePerSec:      50,
-		DurationSeconds: 60,
-		OutTokens:       4,
-		Autoscaler: localut.ClusterAutoscaler{
-			Enabled: true, MaxInstances: 4, IntervalSeconds: 1,
-			SLOSeconds: 1, ScaleDownFactor: 0.1,
-		},
-	})
-	if err != nil {
-		return err
-	}
-	out := benchReport{Fleet: fleet, Autoscaled: scaled}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s (fleet: %d requests in %.2fs, %.0f req/s; autoscaled peak %d)\n",
-		path, fleet.Requests, fleet.WallSeconds, fleet.RequestsPerSec, scaled.PeakInstances)
-	return nil
-}
-
-// faultBenchScenario extends the timed scenario with reliability outcome
-// counters, so regressions in the fault path's cost or behavior show up.
-type faultBenchScenario struct {
-	benchScenario
-	GoodputPerSec      float64 `json:"goodput_per_s"`
-	Crashes            int     `json:"crashes"`
-	Retries            int     `json:"retries"`
-	ReprefillTokens    int64   `json:"reprefill_tokens"`
-	Shed               int     `json:"shed"`
-	UnavailableSeconds float64 `json:"unavailable_s"`
-}
-
-// runBenchFaultsJSON times the faulted-fleet acceptance workload: an
-// eight-instance fleet with deadlines, retries and fault injection dialed
-// to several crashes per run.
-func runBenchFaultsJSON(path string) error {
-	sys := localut.NewSystem(localut.WithSeed(1))
-	cfg := localut.ClusterConfig{
-		Model: localut.BERTBase, Format: localut.W1A3, Design: localut.DesignLoCaLUT,
-		Instances:       8,
-		RatePerSec:      2000,
-		DurationSeconds: 60,
-		Router:          localut.RouteLeastOutstanding,
-		Deadlines:       localut.ClusterDeadlines{DefaultSeconds: 5},
-		Faults:          localut.ClusterFaults{Enabled: true, MTTFSeconds: 120, MTTRSeconds: 2},
-	}
-	start := time.Now()
-	rep, err := sys.ServeCluster(cfg)
-	if err != nil {
-		return err
-	}
-	wall := time.Since(start).Seconds()
-	out := faultBenchScenario{
-		benchScenario: benchScenario{
-			Model:           rep.Model,
-			Instances:       cfg.Instances,
-			RatePerSec:      cfg.RatePerSec,
-			DurationSeconds: cfg.DurationSeconds,
-			Requests:        rep.Admitted,
-			PeakInstances:   rep.InstancesPeak,
-			DistinctSims:    rep.DistinctForwardSims,
-			WallSeconds:     wall,
-		},
-		GoodputPerSec:      rep.GoodputPerSec,
-		Crashes:            rep.Crashes,
-		Retries:            rep.Retries,
-		ReprefillTokens:    rep.ReprefillTokens,
-		Shed:               rep.Shed,
-		UnavailableSeconds: rep.UnavailableSeconds,
-	}
-	if wall > 0 {
-		out.RequestsPerSec = float64(rep.Admitted) / wall
-		out.SimSecondsPerSec = rep.MakespanSeconds / wall
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s (%d requests, %d crashes, %d retries in %.2fs)\n",
-		path, rep.Admitted, rep.Crashes, rep.Retries, wall)
-	return nil
-}
-
-// chaosBenchScenario extends the timed scenario with the chaos outcome
-// counters, so regressions in the domain/straggler/hedge paths' cost or
-// behavior show up.
-type chaosBenchScenario struct {
-	benchScenario
-	GoodputPerSec           float64 `json:"goodput_per_s"`
-	Crashes                 int     `json:"crashes"`
-	DomainOutages           int     `json:"domain_outages"`
-	DomainOverlapExtensions int     `json:"domain_overlap_extensions"`
-	StragglerWindows        int     `json:"straggler_windows"`
-	HedgesIssued            int     `json:"hedges_issued"`
-	HedgeWins               int     `json:"hedge_wins"`
-	HedgeWastedSeconds      float64 `json:"hedge_waste_s"`
-	UnavailableSeconds      float64 `json:"unavailable_s"`
-}
-
-// runBenchChaosJSON times the chaos-fleet acceptance workload: an
-// eight-instance decode fleet with independent faults, correlated domain
-// outages, gray-failure stragglers and hedging all on, audited.
-func runBenchChaosJSON(path string) error {
-	sys := localut.NewSystem(localut.WithSeed(1))
-	cfg := chaosBase(1)
-	cfg.RatePerSec = 200
-	cfg.DurationSeconds = 60
-	chaosScenarios()[0].mutate(&cfg)
-	start := time.Now()
-	rep, err := sys.ServeCluster(cfg)
-	if err != nil {
-		return err
-	}
-	wall := time.Since(start).Seconds()
-	out := chaosBenchScenario{
-		benchScenario: benchScenario{
-			Model:           rep.Model,
-			Instances:       cfg.Instances,
-			RatePerSec:      cfg.RatePerSec,
-			DurationSeconds: cfg.DurationSeconds,
-			Requests:        rep.Admitted,
-			PeakInstances:   rep.InstancesPeak,
-			DistinctSims:    rep.DistinctForwardSims,
-			WallSeconds:     wall,
-		},
-		GoodputPerSec:           rep.GoodputPerSec,
-		Crashes:                 rep.Crashes,
-		DomainOutages:           rep.DomainOutages,
-		DomainOverlapExtensions: rep.DomainOverlapExtensions,
-		StragglerWindows:        rep.StragglerWindows,
-		HedgesIssued:            rep.HedgesIssued,
-		HedgeWins:               rep.HedgeWins,
-		HedgeWastedSeconds:      rep.HedgeWastedSeconds,
-		UnavailableSeconds:      rep.UnavailableSeconds,
-	}
-	if wall > 0 {
-		out.RequestsPerSec = float64(rep.Admitted) / wall
-		out.SimSecondsPerSec = rep.MakespanSeconds / wall
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s (%d requests, %d domain outages, %d straggler windows, %d hedges in %.2fs)\n",
-		path, rep.Admitted, rep.DomainOutages, rep.StragglerWindows, rep.HedgesIssued, wall)
-	return nil
-}
-
-// obsBenchReport times the same faulted fleet with recording off and
-// fully on (trace + metrics to discarded writers). DisabledWallSeconds
-// is the hot path with nil-recorder no-ops — tracked across revisions,
-// it catches recording costs leaking into the disabled path.
-// PerRequestOverheadUS is full recording's marginal cost per admitted
-// request, the gated number: the simulated fleet is so fast that a
-// wall-clock ratio would amplify nanosecond noise.
-type obsBenchReport struct {
-	Requests             int     `json:"requests"`
-	DisabledWallSeconds  float64 `json:"disabled_wall_s"`
-	EnabledWallSeconds   float64 `json:"enabled_wall_s"`
-	OverheadFraction     float64 `json:"overhead_fraction"`
-	PerRequestOverheadUS float64 `json:"per_request_overhead_us"`
-}
-
-// runBenchObsJSON times the observability layer: one faulted
-// eight-instance fleet run with a zero ObsConfig, one with trace and
-// one-second metrics enabled, byte sinks for both outputs. A positive
-// maxOverheadUS turns the per-request recording cost into a hard gate.
-func runBenchObsJSON(path string, maxOverheadUS float64) error {
-	cfg := localut.ClusterConfig{
-		Model: localut.BERTBase, Format: localut.W1A3, Design: localut.DesignLoCaLUT,
-		Instances:       8,
-		RatePerSec:      2000,
-		DurationSeconds: 60,
-		Router:          localut.RouteLeastOutstanding,
-		Deadlines:       localut.ClusterDeadlines{DefaultSeconds: 5},
-		Faults:          localut.ClusterFaults{Enabled: true, MTTFSeconds: 120, MTTRSeconds: 2},
-	}
-	run := func(obs localut.ObsConfig) (float64, *localut.ClusterReport, error) {
-		c := cfg
-		c.Obs = obs
-		sys := localut.NewSystem(localut.WithSeed(1))
-		start := time.Now()
-		rep, err := sys.ServeCluster(c)
-		if err != nil {
-			return 0, nil, err
-		}
-		return time.Since(start).Seconds(), rep, nil
-	}
-	// Warm-up run so neither timed run pays one-time costs (code paging,
-	// allocator growth) the other doesn't.
-	if _, _, err := run(localut.ObsConfig{}); err != nil {
-		return err
-	}
-	disabledWall, rep, err := run(localut.ObsConfig{})
-	if err != nil {
-		return err
-	}
-	enabledWall, _, err := run(localut.ObsConfig{
-		TraceWriter:            io.Discard,
-		MetricsWriter:          io.Discard,
-		MetricsIntervalSeconds: 1,
-	})
-	if err != nil {
-		return err
-	}
-	out := obsBenchReport{
-		Requests:            rep.Admitted,
-		DisabledWallSeconds: disabledWall,
-		EnabledWallSeconds:  enabledWall,
-	}
-	if disabledWall > 0 {
-		out.OverheadFraction = (enabledWall - disabledWall) / disabledWall
-	}
-	if rep.Admitted > 0 {
-		out.PerRequestOverheadUS = (enabledWall - disabledWall) / float64(rep.Admitted) * 1e6
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s (%d requests; disabled %.2fs, enabled %.2fs, %.1fus/request recording cost)\n",
-		path, out.Requests, disabledWall, enabledWall, out.PerRequestOverheadUS)
-	if maxOverheadUS > 0 && out.PerRequestOverheadUS > maxOverheadUS {
-		return fmt.Errorf("recording overhead regression: %.1fus per request exceeds the %.1fus gate",
-			out.PerRequestOverheadUS, maxOverheadUS)
-	}
 	return nil
 }
 

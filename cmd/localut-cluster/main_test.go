@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"github.com/ais-snu/localut"
 )
@@ -362,6 +364,58 @@ func TestObsEdgeCases(t *testing.T) {
 			t.Errorf("want header + 2 rows when the interval exceeds the run, got:\n%s", mc)
 		}
 	})
+}
+
+// BenchmarkObsOverhead is the recording-cost gate: the faulted
+// eight-instance BERT fleet runs once with recording off and once with a
+// trace plus one-second metrics written to io.Discard, and full recording
+// must cost at most 50µs of host time per admitted request. The per-request
+// difference is gated rather than a wall-clock ratio, because the simulated
+// fleet is fast enough that a ratio would amplify nanosecond noise.
+func BenchmarkObsOverhead(b *testing.B) {
+	const maxUSPerRequest = 50
+	cfg := localut.ClusterConfig{
+		Model: localut.BERTBase, Format: localut.W1A3, Design: localut.DesignLoCaLUT,
+		Instances:       8,
+		RatePerSec:      2000,
+		DurationSeconds: 60,
+		Router:          localut.RouteLeastOutstanding,
+		Deadlines:       localut.ClusterDeadlines{DefaultSeconds: 5},
+		Faults:          localut.ClusterFaults{Enabled: true, MTTFSeconds: 120, MTTRSeconds: 2},
+	}
+	run := func(obs localut.ObsConfig) (time.Duration, int) {
+		c := cfg
+		c.Obs = obs
+		start := time.Now()
+		rep, err := localut.NewSystem(localut.WithSeed(1)).ServeCluster(c)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return time.Since(start), rep.Admitted
+	}
+	// Warm-up, so neither timed run pays one-time costs (code paging,
+	// allocator growth) the other does not.
+	run(localut.ObsConfig{})
+	b.ResetTimer()
+	var off, on time.Duration
+	var requests int
+	for i := 0; i < b.N; i++ {
+		d, n := run(localut.ObsConfig{})
+		off += d
+		requests += n
+		d, _ = run(localut.ObsConfig{
+			TraceWriter:            io.Discard,
+			MetricsWriter:          io.Discard,
+			MetricsIntervalSeconds: 1,
+		})
+		on += d
+	}
+	us := (on - off).Seconds() / float64(requests) * 1e6
+	b.ReportMetric(us, "us/req")
+	if us > maxUSPerRequest {
+		b.Fatalf("full recording costs %.1fµs per request over %d requests, want <= %dµs",
+			us, requests, maxUSPerRequest)
+	}
 }
 
 // TestParseClasses covers the class-flag parser.

@@ -14,7 +14,6 @@
 //	localut-serve -model opt-125m -rate 50 -out-tokens-mean 32 -out-tokens-max 128
 //	localut-serve -model opt-125m -design OP+LC+RC -scheduler fcfs -clients 32 -think 200ms
 //	localut-serve -model bert-base -sweep 25,50,100,200,400 [-designs "OP+LC+RC,LoCaLUT"]
-//	localut-serve -bench-json BENCH_serve.json
 //
 // Output is a key/value table by default; -json and -csv switch formats,
 // -hist adds a latency histogram, -o writes to a file.
@@ -75,7 +74,6 @@ func main() {
 	metricsOut := flag.String("metrics-out", "", "write interval time-series metrics to this file (.json = JSON, else CSV)")
 	metricsInterval := flag.Duration("metrics-interval", time.Second, "time-series sampling interval")
 	auditFlag := flag.Bool("audit", false, "run the conservation auditor on the final report and fail on any violation")
-	benchJSON := flag.String("bench-json", "", "run the simulator self-benchmark and write JSON to this path")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a post-GC pprof heap profile to this file at exit")
 	flag.Parse()
@@ -95,13 +93,6 @@ func main() {
 		}
 		defer f.Close()
 		w = f
-	}
-
-	if *benchJSON != "" {
-		if err := runBenchJSON(*benchJSON); err != nil {
-			fatal(err)
-		}
-		return
 	}
 
 	if *sweepFlag != "" {
@@ -374,95 +365,6 @@ func runSweep(w io.Writer, rates, designsCSV, model, fmtName, design string,
 	}
 	fmt.Fprintf(os.Stderr, "%d sweep points in %.2fs host wall-clock\n",
 		len(points), time.Since(start).Seconds())
-	return nil
-}
-
-// benchScenario is one timed self-benchmark workload: how fast the
-// serving simulator itself runs, tracked across PRs alongside
-// BENCH_kernels.json.
-type benchScenario struct {
-	Model            string  `json:"model"`
-	RatePerSec       float64 `json:"rate_per_sec"`
-	DurationSeconds  float64 `json:"duration_s"`
-	Requests         int     `json:"requests"`
-	Batches          int     `json:"batches"`
-	DecodeSteps      int     `json:"decode_steps"`
-	TokensOut        int64   `json:"tokens_out"`
-	DistinctSims     int     `json:"distinct_forward_sims"`
-	WallSeconds      float64 `json:"wall_seconds"`
-	RequestsPerSec   float64 `json:"requests_per_sec"`
-	SimSecondsPerSec float64 `json:"simulated_seconds_per_wall_second"`
-}
-
-// benchReport pairs the prefill-only acceptance workload with a
-// decode-heavy one, so step-level decode performance is tracked too.
-type benchReport struct {
-	Prefill benchScenario `json:"prefill"`
-	Decode  benchScenario `json:"decode"`
-}
-
-// benchRun times one scenario.
-func benchRun(cfg localut.ServeConfig) (benchScenario, error) {
-	sys := localut.NewSystem(localut.WithSeed(1))
-	start := time.Now()
-	rep, err := sys.Serve(cfg)
-	if err != nil {
-		return benchScenario{}, err
-	}
-	wall := time.Since(start).Seconds()
-	out := benchScenario{
-		Model:           rep.Model,
-		RatePerSec:      cfg.RatePerSec,
-		DurationSeconds: cfg.DurationSeconds,
-		Requests:        rep.Requests,
-		Batches:         rep.Batches,
-		DecodeSteps:     rep.DecodeSteps,
-		TokensOut:       rep.TokensOut,
-		DistinctSims:    rep.DistinctForwardSims,
-		WallSeconds:     wall,
-	}
-	if wall > 0 {
-		out.RequestsPerSec = float64(rep.Requests) / wall
-		out.SimSecondsPerSec = rep.MakespanSeconds / wall
-	}
-	return out, nil
-}
-
-// runBenchJSON times the acceptance workloads: a 60-second window at 2000
-// req/s (>= 100k requests) on BERT-base, and a decode-heavy OPT-125M run
-// whose cost is dominated by token-level decode steps.
-func runBenchJSON(path string) error {
-	prefill, err := benchRun(localut.ServeConfig{
-		Model: localut.BERTBase, Format: localut.W1A3, Design: localut.DesignLoCaLUT,
-		RatePerSec:      2000,
-		DurationSeconds: 60,
-		Scheduler:       localut.SchedulePacked, // the CLI's default workload
-	})
-	if err != nil {
-		return err
-	}
-	decode, err := benchRun(localut.ServeConfig{
-		Model: localut.OPT125M, Format: localut.W1A3, Design: localut.DesignLoCaLUT,
-		RatePerSec:      200,
-		DurationSeconds: 60,
-		Scheduler:       localut.SchedulePacked,
-		OutTokensMean:   32,
-		OutTokensMax:    128,
-	})
-	if err != nil {
-		return err
-	}
-	out := benchReport{Prefill: prefill, Decode: decode}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s (prefill: %d requests in %.2fs, %.0f req/s; decode: %d steps in %.2fs)\n",
-		path, prefill.Requests, prefill.WallSeconds, prefill.RequestsPerSec,
-		decode.DecodeSteps, decode.WallSeconds)
 	return nil
 }
 

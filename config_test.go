@@ -1,6 +1,7 @@
 package localut
 
 import (
+	"io"
 	"math"
 	"reflect"
 	"regexp"
@@ -58,6 +59,9 @@ func TestNonFiniteConfigRejected(t *testing.T) {
 		{"Hedge.DelaySeconds", func(c *ClusterConfig, v float64) { c.Hedge = ClusterHedge{Enabled: true, DelaySeconds: v} }},
 		{"Retry.BackoffSeconds", func(c *ClusterConfig, v float64) { c.Retry.BackoffSeconds = v }},
 		{"Retry.BackoffCapSeconds", func(c *ClusterConfig, v float64) { c.Retry.BackoffCapSeconds = v }},
+		{"Obs.MetricsIntervalSeconds", func(c *ClusterConfig, v float64) {
+			c.Obs = ObsConfig{MetricsWriter: io.Discard, MetricsJSON: true, MetricsIntervalSeconds: v}
+		}},
 	}
 	serve := []struct {
 		field string
@@ -69,6 +73,9 @@ func TestNonFiniteConfigRejected(t *testing.T) {
 		{"MeanTokens", func(c *ServeConfig, v float64) { c.MeanTokens = v }},
 		{"OutTokensMean", func(c *ServeConfig, v float64) { c.OutTokensMean = v }},
 		{"ArrivalTimes", func(c *ServeConfig, v float64) { c.ArrivalTimes = []float64{0.5, v} }},
+		{"Obs.MetricsIntervalSeconds", func(c *ServeConfig, v float64) {
+			c.Obs = ObsConfig{MetricsWriter: io.Discard, MetricsIntervalSeconds: v}
+		}},
 	}
 
 	sys := NewSystem(WithSeed(1))

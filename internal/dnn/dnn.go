@@ -154,7 +154,10 @@ func (r *Runner) runGEMM(sh GEMMShape, tokens int, seed int64) (*gemm.Report, fl
 	// Cycles-only engines get shape-only operands: generating them is the
 	// dominant host cost when a serving simulator prices thousands of
 	// forward passes.
-	pair := r.Engine.NewPair(sh.M, sh.K, n, r.Fmt, seed)
+	pair, err := r.Engine.NewPair(sh.M, sh.K, n, r.Fmt, seed)
+	if err != nil {
+		return nil, 0, fmt.Errorf("dnn: %s %s: %w", r.Model.Name, sh.Name, err)
+	}
 	rep, err := r.Engine.Run(pair, gemm.Options{Variant: r.Variant})
 	if err != nil {
 		return nil, 0, fmt.Errorf("dnn: %s %s: %w", r.Model.Name, sh.Name, err)

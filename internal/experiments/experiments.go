@@ -126,7 +126,10 @@ func (s *Suite) scale(v, quick int) int {
 // runGEMM executes one GEMM under the paper's context-parallel tiling, on
 // shape-only operands when the engine runs cycles-only.
 func (s *Suite) runGEMM(m, k, n int, f quant.Format, v kernels.Variant, opt gemm.Options) (*gemm.Report, error) {
-	pair := s.Engine.NewPair(m, k, n, f, s.Seed)
+	pair, err := s.Engine.NewPair(m, k, n, f, s.Seed)
+	if err != nil {
+		return nil, err
+	}
 	opt.Variant = v
 	opt.NSplitOnly = true
 	return s.Engine.Run(pair, opt)

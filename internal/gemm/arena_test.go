@@ -133,35 +133,42 @@ func TestConcurrentEnginesShareArenas(t *testing.T) {
 // of the functional full-grid hot path: after warmup, a serial run must
 // average no more than a few allocations per bank tile (the per-run Report
 // and task bookkeeping amortize across tiles; the per-tile path itself
-// contributes ~1, the kernel Result).
+// contributes ~1, the kernel Result). The 256x256x64 input is the
+// allocation gate's shape: 12,288 tiles over the six designs.
 func TestEngineSteadyStateAllocations(t *testing.T) {
-	e := NewEngine()
-	e.Exec = ExecOptions{Parallelism: 1, FullGrid: true}
-	pair := workload.NewGEMMPair(128, 64, 32, quant.W1A3, 1)
+	const maxPerTile = 4
+	for _, c := range []struct{ m, k, n, runs int }{
+		{128, 64, 32, 5},
+		{256, 256, 64, 1},
+	} {
+		e := NewEngine()
+		e.Exec = ExecOptions{Parallelism: 1, FullGrid: true}
+		pair := workload.NewGEMMPair(c.m, c.k, c.n, quant.W1A3, 1)
 
-	var tiles int
-	for i := 0; i < 2; i++ { // warm: LUT cache, arenas, memos
-		for _, v := range kernels.Variants {
-			rep, err := e.Run(pair, Options{Variant: v})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if i == 0 {
-				tiles += rep.BanksSimulated
-			}
-		}
-	}
-	allocs := testing.AllocsPerRun(5, func() {
-		for _, v := range kernels.Variants {
-			if _, err := e.Run(pair, Options{Variant: v}); err != nil {
-				t.Fatal(err)
+		var tiles int
+		for i := 0; i < 2; i++ { // warm: LUT cache, arenas, memos
+			for _, v := range kernels.Variants {
+				rep, err := e.Run(pair, Options{Variant: v})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if i == 0 {
+					tiles += rep.BanksSimulated
+				}
 			}
 		}
-	})
-	perTile := allocs / float64(tiles)
-	if perTile > 4 {
-		t.Errorf("functional full-grid steady state allocates %.2f objects per bank tile (%.0f over %d tiles), want <= 4",
-			perTile, allocs, tiles)
+		allocs := testing.AllocsPerRun(c.runs, func() {
+			for _, v := range kernels.Variants {
+				if _, err := e.Run(pair, Options{Variant: v}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+		perTile := allocs / float64(tiles)
+		if perTile > maxPerTile {
+			t.Errorf("%dx%dx%d: functional full-grid steady state allocates %.3f objects per bank tile (%.0f over %d tiles), want <= %g",
+				c.m, c.k, c.n, perTile, allocs, tiles, float64(maxPerTile))
+		}
 	}
 }
 

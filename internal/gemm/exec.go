@@ -38,9 +38,10 @@ type ExecOptions struct {
 	Mode kernels.Mode
 	// NoArena disables the per-worker execution arenas and allocates a
 	// fresh DPU, tile and verification scratch for every bank tile, as the
-	// pre-pooling engine did. Reports are bit-identical either way; the
-	// flag exists as the reference path for equivalence tests and for
-	// before/after benchmarking of the pooled engine.
+	// pre-pooling engine did. Reports are bit-identical either way. The
+	// flag is kept as the reference the pooled output is checked against:
+	// TestPooledMatchesNoArena and localut-bench -sweep -compare are its
+	// only users.
 	NoArena bool
 }
 

@@ -316,11 +316,20 @@ func (e *Engine) plan(f quant.Format, tileM, k, tileN int, opt Options) (kernels
 // and the seeded synthetic pair otherwise. Both modes charge identical
 // cycles, so the choice never changes a result — it skips generating and
 // quantizing operands that cycles-only execution would never read.
-func (e *Engine) NewPair(m, k, n int, f quant.Format, seed int64) *workload.GEMMPair {
+func (e *Engine) NewPair(m, k, n int, f quant.Format, seed int64) (*workload.GEMMPair, error) {
 	if e.Exec.Mode == kernels.CyclesOnly {
-		return workload.NewShapePair(m, k, n, f)
+		return workload.NewShapePair(m, k, n, f), nil
 	}
-	return workload.NewGEMMPair(m, k, n, f, seed)
+	return NewDataPair(m, k, n, f, seed)
+}
+
+// NewDataPair generates the seeded synthetic pair in any mode. Formats
+// wider than 8 bits are an error: quant.Tensor stores codes in uint8.
+func NewDataPair(m, k, n int, f quant.Format, seed int64) (*workload.GEMMPair, error) {
+	if f.Weight.Bits > 8 || f.Act.Bits > 8 {
+		return nil, fmt.Errorf("gemm: format %s: operand codes are stored in uint8; use <= 8-bit codecs", f.Name())
+	}
+	return workload.NewGEMMPair(m, k, n, f, seed), nil
 }
 
 // Run executes one GEMM on the simulated system.

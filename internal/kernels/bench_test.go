@@ -11,9 +11,9 @@ import (
 )
 
 // Kernel micro-benchmarks: one bank tile per iteration, covering the
-// packed-LUT designs in both execution modes. They are the repo's perf
-// trajectory at kernel granularity (localut-bench -bench-json emits the
-// same measurements as JSON); run with
+// packed-LUT designs in both execution modes. They are the kernel-level
+// timings; end-to-end and per-layer numbers come from the repository
+// benchmark (python3 perfbench/run.py). Run with
 //
 //	go test -bench=. -benchtime=1x ./internal/kernels/
 //

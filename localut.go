@@ -271,14 +271,18 @@ func WithPaperTiling() GEMMOption { return func(o *gemm.Options) { o.NSplitOnly 
 // shape alone unless WithFullOutput asks for the product.
 func (s *System) GEMM(f Format, m, k, n int, d Design, opts ...GEMMOption) (*GEMMResult, error) {
 	o := gemmOptions(d, opts)
-	return s.run(s.newPair(m, k, n, f, s.seed, o), d, o)
+	pair, err := s.newPair(m, k, n, f, s.seed, o)
+	if err != nil {
+		return nil, err
+	}
+	return s.run(pair, d, o)
 }
 
 // newPair builds a GEMM's operands: shape only when the engine's mode and
 // the options never read them, seeded synthetic data otherwise.
-func (s *System) newPair(m, k, n int, f Format, seed int64, o gemm.Options) *workload.GEMMPair {
+func (s *System) newPair(m, k, n int, f Format, seed int64, o gemm.Options) (*workload.GEMMPair, error) {
 	if o.ComputeFull {
-		return workload.NewGEMMPair(m, k, n, f.inner, seed)
+		return gemm.NewDataPair(m, k, n, f.inner, seed)
 	}
 	return s.engine.NewPair(m, k, n, f.inner, seed)
 }
@@ -347,7 +351,10 @@ func (s *System) GEMMBatch(f Format, shapes []GEMMShape, d Design, opts ...GEMMO
 	o := gemmOptions(d, opts)
 	pairs := make([]*workload.GEMMPair, len(shapes))
 	for i, sh := range shapes {
-		pairs[i] = s.newPair(sh.M, sh.K, sh.N, f, s.seed+int64(i), o)
+		var err error
+		if pairs[i], err = s.newPair(sh.M, sh.K, sh.N, f, s.seed+int64(i), o); err != nil {
+			return nil, err
+		}
 	}
 	reps, err := s.engine.RunBatch(pairs, o)
 	if err != nil {

@@ -2,6 +2,7 @@ package localut
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -169,6 +170,36 @@ func TestInferOPTDecode(t *testing.T) {
 	}
 	if math.Abs(res.TotalSeconds-(res.Prefill.Total+res.Decode.Total)) > 1e-12 {
 		t.Error("phase totals inconsistent")
+	}
+}
+
+// TestWideFormatError pins that a format wider than the 8-bit operand
+// code storage is an error from every call that generates operands, not a
+// panic, while cycles-only execution (which reads no operands) still runs.
+func TestWideFormatError(t *testing.T) {
+	f, err := ParseFormat("W9A9")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := NewSystem(WithRanks(4))
+	wantErr := func(call string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "uint8") {
+			t.Errorf("%s: got err %v, want the uint8 code-storage error", call, err)
+		}
+	}
+	_, err = sys.GEMM(f, 64, 64, 16, DesignLoCaLUT)
+	wantErr("GEMM", err)
+	_, err = sys.GEMMBatch(f, []GEMMShape{{M: 64, K: 64, N: 16}}, DesignLoCaLUT)
+	wantErr("GEMMBatch", err)
+	_, err = sys.Infer(BERTBase, f, DesignLoCaLUT, InferOptions{Batch: 1})
+	wantErr("Infer", err)
+
+	co := NewSystem(WithRanks(4), WithCyclesOnly())
+	_, err = co.GEMM(f, 64, 64, 16, DesignLoCaLUT, WithFullOutput())
+	wantErr("cycles-only GEMM with WithFullOutput", err)
+	if _, err := co.GEMM(f, 64, 64, 16, DesignLoCaLUT); err != nil {
+		t.Errorf("cycles-only GEMM: %v", err)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"github.com/ais-snu/localut/internal/obs"
+	"github.com/ais-snu/localut/internal/serve"
 )
 
 // ObsConfig attaches the deterministic observability layer to a serving
@@ -34,7 +35,10 @@ type ObsConfig struct {
 
 // build constructs the internal recorder and metrics sampler for the
 // enabled outputs (nil when disabled, which the hooks treat as no-ops).
-func (o ObsConfig) build() (*obs.Recorder, *obs.Metrics) {
+func (o ObsConfig) build() (*obs.Recorder, *obs.Metrics, error) {
+	if err := serve.Finite("localut: metrics interval", o.MetricsIntervalSeconds); err != nil {
+		return nil, nil, err
+	}
 	var rec *obs.Recorder
 	if o.TraceWriter != nil {
 		rec = obs.NewRecorder(o.TraceSampleN)
@@ -43,7 +47,7 @@ func (o ObsConfig) build() (*obs.Recorder, *obs.Metrics) {
 	if o.MetricsWriter != nil {
 		met = obs.NewMetrics(o.MetricsIntervalSeconds)
 	}
-	return rec, met
+	return rec, met, nil
 }
 
 // export writes the enabled outputs to their writers.

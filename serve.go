@@ -132,7 +132,10 @@ func (s *System) Serve(cfg ServeConfig) (*ServeReport, error) {
 	if seed == 0 {
 		seed = s.seed
 	}
-	rec, met := cfg.Obs.build()
+	rec, met, err := cfg.Obs.build()
+	if err != nil {
+		return nil, err
+	}
 	rep, err := serve.Run(serve.Config{
 		Model:   mc,
 		Fmt:     cfg.Format.inner,
